@@ -1,11 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.evolve.EvolvingTimestamps
-import repro.geo.SpatialJoin
-import repro.graph.ConnectedComponents
+import repro.geo.ProximityGraph
 import repro.segment.LinearSegmentation
 
 /** A sensor routed to its spatial component, with its evolving timestamps
@@ -19,11 +18,11 @@ final case class CompEdge(component: String, src: String, dst: String)
 /** End-to-end MISCELA pipeline (Section 2.2) as a Spark dataflow.
   *
   * Stage 1 linear segmentation and stage 2 evolving-timestamp extraction
-  * are per-sensor window dataflows; stage 3 builds the η-proximity graph
-  * and its connected components with DataFrame joins; stage 4 cogroups
-  * sensors and edges by component and runs the pruned CAP search inside
-  * each component's task — components are mined in parallel across the
-  * cluster.
+  * are per-sensor window dataflows; stage 3 collects the sensor registry
+  * once and builds the η-proximity graph and its connected components on
+  * the driver ([[ProximityGraph]]); stage 4 cogroups sensors and edges by
+  * component and runs the pruned CAP search inside each component's task
+  * — components are mined in parallel across the cluster.
   */
 object Miscela {
 
@@ -37,13 +36,28 @@ object Miscela {
     EvolvingTimestamps.extract(smoothed, params.epsilon)
   }
 
-  /** Spatial edges and components (id, component) for `locations` under η
-    * — stage 3.
+  /** Spatial edges (src, dst, dist_km) and components (id, component) for
+    * `locations` under η — stage 3. Both are small local DataFrames over
+    * the driver-side [[ProximityGraph]].
     */
   def spatialComponents(spark: SparkSession, locations: DataFrame, params: CapParams): (DataFrame, DataFrame) = {
-    val edges = SpatialJoin.edges(spark, locations, params.etaKm)
-    val comps = ConnectedComponents.run(spark, locations.select(col("id")), edges)
+    import spark.implicits._
+    val (graph, _) = proximityGraph(locations, params.etaKm)
+    val edges = graph.edges.map(e => (e.src, e.dst, e.distKm)).toDF("src", "dst", "dist_km")
+    val comps = graph.ids.zip(graph.components).toDF("id", "component")
     (edges, comps)
+  }
+
+  /** Collects the sensor registry (id, lat, lon, then `extra` columns) in
+    * one job and builds its η-graph. A null coordinate reads as NaN, which
+    * [[ProximityGraph]] rejects by sensor id.
+    */
+  private def proximityGraph(locations: DataFrame, etaKm: Double, extra: Column*): (ProximityGraph, Array[Row]) = {
+    val rows = locations
+      .select(col("id").cast("string") +: col("lat").cast("double") +: col("lon").cast("double") +: extra: _*)
+      .collect()
+    def coord(r: Row, i: Int) = if (r.isNullAt(i)) Double.NaN else r.getDouble(i)
+    (ProximityGraph(rows.toSeq.map(r => (r.getString(0), coord(r, 1), coord(r, 2))), etaKm), rows)
   }
 
   /** Stages 1–3 plus routing: sensors and η-edges keyed by component.
@@ -51,7 +65,8 @@ object Miscela {
     * A sensor with fewer than ψ evolving timestamps can never appear in a
     * CAP (a set's support is bounded by each member's own support), so it
     * is dropped here — a safe prune applied identically for both search
-    * strategies.
+    * strategies. Each kept sensor looks up its component and attribute in
+    * the collected registry, so routing adds no join.
     *
     * @return (sensors per component, edges per component, number of
     *         timestamps on the global grid)
@@ -65,27 +80,25 @@ object Miscela {
     import spark.implicits._
     val nT = data.select(col("time")).distinct().count().toInt
     val events = evolvingEvents(data, params)
-    val (edges, comps) = spatialComponents(spark, locations, params)
+    val (graph, registry) = proximityGraph(locations, params.etaKm, col("attribute").cast("string"))
+    val componentOf = graph.componentOf
+    // id -> (component, attribute), shipped to the tasks with the closure.
+    val route = registry.iterator.map(r => r.getString(0) -> (componentOf(r.getString(0)), r.getString(3))).toMap
 
-    val perSensor = events
+    val compSensors = events
       .groupBy("id")
       .agg(
         collect_list(when(col("sign") > 0, col("tIdx"))).as("plus"),
         collect_list(when(col("sign") < 0, col("tIdx"))).as("minus"),
       )
       .where(size(col("plus")) + size(col("minus")) >= params.psi)
+      .select(col("id").cast("string"), col("plus"), col("minus"))
+      .as[(String, Seq[Int], Seq[Int])]
+      .flatMap { case (id, plus, minus) =>
+        route.get(id).map { case (component, attribute) => CompSensor(component, id, attribute, plus, minus) }
+      }
 
-    val compSensors = perSensor
-      .join(locations.select(col("id"), col("attribute")), "id")
-      .join(comps, "id")
-      .select(col("component").cast("string"), col("id").cast("string"),
-        col("attribute").cast("string"), col("plus"), col("minus"))
-      .as[CompSensor]
-
-    val compEdges = edges
-      .join(comps.withColumnRenamed("id", "src"), "src")
-      .select(col("component").cast("string"), col("src").cast("string"), col("dst").cast("string"))
-      .as[CompEdge]
+    val compEdges = graph.edges.map(e => CompEdge(componentOf(e.src), e.src, e.dst)).toDS()
 
     (compSensors, compEdges, nT)
   }

@@ -1,7 +1,5 @@
 package repro.geo
 
-import org.apache.spark.sql.SparkSession
-
 /** Great-circle distance on the WGS84 mean-radius sphere.
   *
   * MISCELA's distance threshold η compares sensor locations given as
@@ -23,10 +21,4 @@ object Haversine {
         math.pow(math.sin(dLon / 2), 2)
     2 * EarthRadiusKm * math.asin(math.min(1.0, math.sqrt(a)))
   }
-
-  /** Registers `haversine_km(lat1, lon1, lat2, lon2)` on the session so the
-    * spatial join (and ad-hoc SQL) can use it. Idempotent.
-    */
-  def register(spark: SparkSession): Unit =
-    spark.udf.register("haversine_km", (a: Double, b: Double, c: Double, d: Double) => km(a, b, c, d))
 }

@@ -1,6 +1,6 @@
 package repro.cache
 
-import java.nio.file.Files
+import java.nio.file.{Files, Paths}
 
 import repro.SparkSpec
 import repro.core.{Cap, CapParams}
@@ -75,6 +75,14 @@ class CapCacheSpec extends SparkSpec {
     cache.put("x", p, someCaps(0))
     assert(cache.contains("x", p))
     assert(cache.get(spark, "x", p).get.count() == 0)
+  }
+
+  test("epsilons that agree to six decimals are three distinct entries") {
+    val (cache, dir) = newCache()
+    val ps = Seq(0.0, 1e-7, 4e-7).map(e => p.copy(epsilon = e))
+    ps.zipWithIndex.foreach { case (q, i) => cache.put("santander", q, someCaps(i + 1)) }
+    assert(Files.list(Paths.get(dir)).count() == 3)
+    ps.zipWithIndex.foreach { case (q, i) => assert(cache.get(spark, "santander", q).get.count() == i + 1) }
   }
 
   test("cacheKey covers every parameter") {

@@ -26,7 +26,14 @@ class CapParamsSpec extends AnyFunSuite {
   test("cacheKey is stable and human-inspectable") {
     val k = CapParams().cacheKey
     assert(k == CapParams().cacheKey)
-    assert(k.contains("eps=1.000000") && k.contains("psi=10"))
+    assert(k.contains("eps=1.0|") && k.contains("psi=10"))
+  }
+
+  test("cacheKey keeps parameters that agree to six decimals apart") {
+    val keys = Seq(0.0, 1e-7, 4e-7).map(e => CapParams(epsilon = e).cacheKey)
+    assert(keys.distinct.size == 3, keys)
+    assert(CapParams(etaKm = 0.5).cacheKey != CapParams(etaKm = 0.5000001).cacheKey)
+    assert(CapParams(delta = 0.0).cacheKey != CapParams(delta = 1e-9).cacheKey)
   }
 
   test("SignPolicy.fromString parses both policies case-insensitively") {

@@ -48,6 +48,14 @@ class MiscelaSpec extends SparkSpec {
     assert(byComp == Set(Set("a1", "a2", "a3"), Set("b1", "b2")))
   }
 
+  test("spatialComponents rejects a null coordinate, naming the sensor") {
+    import spark.implicits._
+    val locs = Seq(("ok", "temperature", Some(43.46), Some(-3.80)), ("gap", "light", None, Some(-3.80)))
+      .toDF("id", "attribute", "lat", "lon")
+    val e = intercept[IllegalArgumentException](Miscela.spatialComponents(spark, locs, CapParams()))
+    assert(e.getMessage.contains("'gap'"))
+  }
+
   test("mine discovers one planted pattern per cluster, nothing across clusters") {
     val (data, locs) = world()
     val params = CapParams(epsilon = 1.0, etaKm = 0.5, mu = 3, psi = 2, maxSensors = 3)

