@@ -33,6 +33,18 @@ class T2ParamSensitivityBench extends SparkSpec {
     println(T2Sweep.table(rows, "T2 parameter sensitivity (santander, sf=0.05)"))
   }
 
+  test("T2: #CAPs per row match the golden values") {
+    // The #CAPs column as measured before stages 1–2 became one per-sensor
+    // pass; any change to the mined CAP sets shows here.
+    val golden = Seq(
+      ("epsilon", 0.5, 126L), ("epsilon", 2.0, 126L), ("epsilon", 10.5, 0L), ("epsilon", 16.0, 0L),
+      ("eta", 0.05, 11L), ("eta", 0.2, 107L), ("eta", 0.5, 126L), ("eta", 2.0, 126L),
+      ("psi", 20.0, 126L), ("psi", 100.0, 126L), ("psi", 300.0, 0L),
+      ("mu", 2.0, 126L), ("mu", 3.0, 126L),
+    )
+    assert(rows.map(r => (r.param, r.value, r.nCaps)) == golden)
+  }
+
   test("T2: baseline parameters find a non-trivial CAP set") {
     val baseCaps = series("eta").find(_._1 == 0.5).get._2
     assert(baseCaps > 0, "baseline mining found nothing — planted structure missing?")

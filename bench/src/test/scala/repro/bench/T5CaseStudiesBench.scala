@@ -24,6 +24,14 @@ class T5CaseStudiesBench extends SparkSpec {
     println(T5Cases.patternTable(stCaps, "T5a Santander attribute patterns (sf=0.05)"))
   }
 
+  // The T5 tables as measured before stages 1–2 became one per-sensor
+  // pass: (attribute pattern, #CAPs, max support) and the China rows.
+  private def table(caps: Seq[repro.core.Cap]) = T5Cases.patterns(caps).map(r => (r.attributes, r.nCaps, r.maxSupport))
+
+  test("T5a: the pattern table matches the golden values") {
+    assert(table(stCaps) == Seq(("light+temperature", 85L, 221L), ("temperature+trafficVolume", 41L, 229L)))
+  }
+
   test("T5a: temperature-traffic and light-temperature patterns are found") {
     val pats = T5Cases.patterns(stCaps).map(_.attributes).toSet
     assert(pats.contains("temperature+trafficVolume"), s"missing temp+traffic in $pats")
@@ -57,6 +65,11 @@ class T5CaseStudiesBench extends SparkSpec {
     assert(nComps == 1L, s"expected one connected component, got $nComps")
   }
 
+  test("T5b: the classification matches the golden values") {
+    assert(chinaRows.map(r => (r.kind, r.nCaps)) == Seq(
+      ("within-city", 694L), ("multi-city same row (east-west)", 3732L), ("multi-city cross row (north-south)", 0L)))
+  }
+
   test("T5b: east-west separated cities share CAPs") {
     val sameRow = chinaRows.find(_.kind.contains("same row")).get.nCaps
     assert(sameRow > 0, "no multi-city east-west CAPs found")
@@ -76,6 +89,14 @@ class T5CaseStudiesBench extends SparkSpec {
   test("T5c: print before/after patterns") {
     println(T5Cases.patternTable(covid.before, "T5c COVID-19 patterns BEFORE the outbreak"))
     println(T5Cases.patternTable(covid.after, "T5c COVID-19 patterns AFTER the outbreak"))
+  }
+
+  test("T5c: the before and after tables match the golden values") {
+    assert(table(covid.before) == Seq(
+      ("CO+NO2", 2L, 99L), ("CO+NO2+PM10", 2L, 98L), ("CO+NO2+PM10+PM2.5", 2L, 97L), ("CO+NO2+PM2.5", 2L, 98L),
+      ("CO+PM10", 2L, 101L), ("CO+PM10+PM2.5", 2L, 100L), ("CO+PM2.5", 2L, 101L), ("NO2+PM10", 2L, 99L),
+      ("NO2+PM10+PM2.5", 2L, 98L), ("NO2+PM2.5", 2L, 99L), ("PM10+PM2.5", 2L, 101L)))
+    assert(table(covid.after) == Seq(("O3+PM2.5", 2L, 102L)))
   }
 
   test("T5c: before the outbreak, traffic pollutants (NO2, CO) correlate") {

@@ -16,7 +16,7 @@ import repro.exp.T4Cache
   */
 object CacheBenchJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, JobUtil.CapKeys ++ Set("dataset", "sf", "cache-dir"))
     val spark = JobUtil.session("T4-cache")
     try {
       val ds = SmartCityData.byName(spark, a.str("dataset", "santander"), a.dbl("sf", 0.1))

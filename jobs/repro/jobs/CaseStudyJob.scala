@@ -13,7 +13,7 @@ import repro.exp.T5Cases
   */
 object CaseStudyJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, Set("santander-sf", "china-sf"))
     val spark = JobUtil.session("T5-case-studies")
     try {
       val stCaps = T5Cases.santanderCaps(spark, a.dbl("santander-sf", 0.05),

@@ -10,7 +10,7 @@ import repro.exp.T1Stats
   */
 object DatasetStatsJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, Set("sf"))
     val spark = JobUtil.session("T1-dataset-stats")
     try println(T1Stats.table(spark, a.dbl("sf", 1.0)))
     finally spark.stop()

@@ -5,7 +5,8 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{CapParams, SignPolicy}
 
 /** Shared plumbing for the spark-submit entrypoints: session construction
-  * and `--key value` argument parsing with typed accessors.
+  * and `--key value` argument parsing, against the flags each job declares,
+  * with typed accessors.
   */
 object JobUtil {
 
@@ -35,10 +36,26 @@ object JobUtil {
     )
   }
 
-  def parse(args: Array[String]): Args = {
-    val kv = args.sliding(2, 2).collect {
-      case Array(k, v) if k.startsWith("--") => k.stripPrefix("--") -> v
-    }.toMap
+  /** The flags [[Args.capParams]] reads. */
+  val CapKeys: Set[String] =
+    Set("epsilon", "eta", "mu", "psi", "delta", "sign", "max-sensors", "allow-single-attr")
+
+  /** Parses `--key value` pairs. Throws `IllegalArgumentException`, naming
+    * the token, for a key not in `known`, a key given twice, a key with no
+    * value and any token that is not a `--key` where one is expected — a
+    * mistyped flag must not run the job with defaults.
+    */
+  def parse(args: Array[String], known: Set[String]): Args = {
+    def bad(msg: String) = throw new IllegalArgumentException(msg)
+    val kv = args.grouped(2).foldLeft(Map.empty[String, String]) { (acc, pair) =>
+      val flag = pair(0)
+      val key = flag.stripPrefix("--")
+      if (!flag.startsWith("--")) bad(s"unexpected argument '$flag': expected --key value")
+      if (!known(key)) bad(s"unknown flag '$flag'; known: ${known.toSeq.sorted.map("--" + _).mkString(" ")}")
+      if (pair.length < 2 || pair(1).startsWith("--")) bad(s"flag '$flag' has no value")
+      if (acc.contains(key)) bad(s"flag '$flag' given twice")
+      acc.updated(key, pair(1))
+    }
     Args(kv)
   }
 }

@@ -19,7 +19,7 @@ import repro.viz.JsonExport
   */
 object MineCapsJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, JobUtil.CapKeys ++ Set("dataset", "sf", "cache-dir", "out"))
     val spark = JobUtil.session("miscela-v-mine")
     try {
       val ds = SmartCityData.byName(spark, a.str("dataset", "santander"), a.dbl("sf", 0.05))

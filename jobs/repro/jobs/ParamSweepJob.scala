@@ -13,7 +13,7 @@ import repro.exp.T2Sweep
   */
 object ParamSweepJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, JobUtil.CapKeys ++ Set("dataset", "sf"))
     val spark = JobUtil.session("T2-param-sweep")
     try {
       val ds = SmartCityData.byName(spark, a.str("dataset", "santander"), a.dbl("sf", 0.1))

@@ -13,7 +13,7 @@ import repro.exp.T3Runtime
   */
 object RuntimeBenchJob {
   def main(args: Array[String]): Unit = {
-    val a = JobUtil.parse(args)
+    val a = JobUtil.parse(args, Set("dataset", "sf"))
     val spark = JobUtil.session("T3-runtime")
     try {
       val ds = SmartCityData.byName(spark, a.str("dataset", "santander"), a.dbl("sf", 0.1))

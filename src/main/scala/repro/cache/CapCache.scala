@@ -1,8 +1,10 @@
 package repro.cache
 
 import java.nio.charset.StandardCharsets
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, Path, Paths, StandardCopyOption}
 import java.security.MessageDigest
+
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 
@@ -39,14 +41,38 @@ final class CapCache(root: String) {
     new String(Files.readAllBytes(marker), StandardCharsets.UTF_8) == material
   }
 
-  /** Stores `caps` for (dataset, params), overwriting any previous entry. */
+  /** Stores `caps` for (dataset, params), overwriting any previous entry.
+    *
+    * The entry is written into a temporary directory under the cache root
+    * and renamed into place, so a put that fails part-way (a failed mining
+    * job, a full disk) leaves the previous state: no half-written entry
+    * that [[contains]] accepts, and no stray directory once it returns.
+    */
   def put(dataset: String, params: CapParams, caps: Dataset[Cap]): Unit = {
     val (key, material) = keyOf(dataset, params)
     val dir = entryDir(key)
-    caps.write.mode("overwrite").parquet(dir.resolve("caps.parquet").toString)
-    Files.createDirectories(dir)
-    Files.write(dir.resolve("params.txt"), material.getBytes(StandardCharsets.UTF_8))
+    Files.createDirectories(dir.getParent)
+    val tmp = Files.createTempDirectory(dir.getParent, s".put-$key-")
+    val old = dir.resolveSibling(s"${tmp.getFileName}.old")
+    try {
+      caps.write.parquet(tmp.resolve("caps.parquet").toString)
+      Files.write(tmp.resolve("params.txt"), material.getBytes(StandardCharsets.UTF_8))
+      // A directory cannot be renamed over a non-empty one: move the old
+      // entry aside first.
+      if (Files.exists(dir)) Files.move(dir, old, StandardCopyOption.ATOMIC_MOVE)
+      Files.move(tmp, dir, StandardCopyOption.ATOMIC_MOVE)
+    } finally {
+      deleteTree(tmp)
+      deleteTree(old)
+    }
   }
+
+  private def deleteTree(p: Path): Unit =
+    if (Files.exists(p)) {
+      val paths = Files.walk(p)
+      try paths.iterator().asScala.toSeq.reverse.foreach(Files.delete)
+      finally paths.close()
+    }
 
   /** The stored result for (dataset, params), if any. */
   def get(spark: SparkSession, dataset: String, params: CapParams): Option[Dataset[Cap]] = {

@@ -1,29 +1,41 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+
+import org.apache.spark.rdd.RDD
 
 /** Dense integer index over the dataset's synchronized timestamps.
   *
   * The paper requires "timestamps must be the same time intervals" and all
   * sensors synchronized, so the distinct timestamps of `data.csv` form one
   * global grid; bitsets in the CAP search are indexed by position on that
-  * grid.
+  * grid. The grid is a few thousand timestamps even at sf=1, so it is
+  * collected to the driver once per mining run and travels to the tasks in
+  * their closure; a record's tIdx is the dense rank of its timestamp.
   */
 object TimeIndex {
 
-  /** (time, tIdx) mapping, tIdx dense from 0 in time order. */
-  def build(data: DataFrame): DataFrame = {
-    // The distinct-timestamp set is small (thousands); a global window is fine.
-    val w = Window.orderBy("time")
-    data
-      .select(col("time"))
-      .distinct()
-      .withColumn("tIdx", (row_number().over(w) - 1).cast("int"))
-  }
+  /** The grid of `times`: their sorted distinct values. One job, with
+    * each partition sending its own distinct timestamps to the driver.
+    */
+  def grid(times: RDD[Array[Long]]): Array[Long] =
+    times
+      .mapPartitions { it =>
+        val seen = mutable.LongMap.empty[Unit]
+        it.foreach(_.foreach(t => seen.update(t, ())))
+        Iterator(seen.keys.toArray)
+      }
+      .collect()
+      .flatten
+      .distinct
+      .sorted
 
-  /** Attaches tIdx to every record of `data` (columns id, attribute, time, data). */
-  def attach(data: DataFrame): DataFrame =
-    data.join(build(data), Seq("time"))
+  /** tIdx of timestamp `micros` on `grid` — its position, by binary search.
+    * Throws if `micros` is not on the grid.
+    */
+  def of(grid: Array[Long], micros: Long): Int = {
+    val i = java.util.Arrays.binarySearch(grid, micros)
+    require(i >= 0, s"timestamp $micros µs is not on the time grid")
+    i
+  }
 }

@@ -1,8 +1,6 @@
 package repro.evolve
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** MISCELA step 2: extract evolving timestamps.
   *
@@ -11,23 +9,25 @@ import org.apache.spark.sql.functions._
   * the change is kept because co-evolution under the default SameSign
   * policy requires all sensors of a pattern to move the same way.
   *
-  * Pure window dataflow: lag over (partition by sensor, order by time).
+  * Runs on one sensor's smoothed series inside the per-sensor pass of
+  * [[repro.core.Miscela]]; "previous" is the previous point of the series,
+  * however many grid timestamps lie between them.
   */
 object EvolvingTimestamps {
 
-  /** From a smoothed series (id, tIdx, value) to evolving events
-    * (id, tIdx, sign) with sign ∈ {−1, +1}.
+  /** From one smoothed series of (tIdx, value), sorted by tIdx, to its
+    * evolving timestamps split by sign: (rises, falls).
     */
-  def extract(smoothed: DataFrame, epsilon: Double): DataFrame = {
+  def steps(series: Array[(Int, Double)], epsilon: Double): (Array[Int], Array[Int]) = {
     require(epsilon >= 0, s"epsilon must be non-negative, got $epsilon")
-    val w = Window.partitionBy("id").orderBy("tIdx")
-    smoothed
-      .withColumn("delta", col("value") - lag("value", 1).over(w))
-      .where(col("delta").isNotNull && abs(col("delta")) > epsilon)
-      .select(
-        col("id"),
-        col("tIdx"),
-        when(col("delta") > 0, lit(1)).otherwise(lit(-1)).as("sign"),
-      )
+    val plus = mutable.ArrayBuilder.make[Int]
+    val minus = mutable.ArrayBuilder.make[Int]
+    var i = 1
+    while (i < series.length) {
+      val d = series(i)._2 - series(i - 1)._2
+      if (math.abs(d) > epsilon) (if (d > 0) plus else minus) += series(i)._1
+      i += 1
+    }
+    (plus.result(), minus.result())
   }
 }

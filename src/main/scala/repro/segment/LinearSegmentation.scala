@@ -1,8 +1,5 @@
 package repro.segment
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
-
 /** MISCELA step 1: "filter uninteresting data fluctuation by applying a
   * linear segmentation algorithm to time series data".
   *
@@ -19,31 +16,20 @@ import org.apache.spark.sql.functions._
   * within each sensor series before segmentation; leading nulls are dropped
   * — a sensor with no measurement yet cannot evolve.
   *
-  * This stage runs per sensor via `groupByKey.flatMapGroups`: series are at
-  * most a few thousand points, while sensors number in the thousands, so
-  * the parallelism axis is the sensor, exactly as the repro layering hint
-  * prescribes ("partitioned by location").
+  * This stage runs on one sensor's series inside the per-sensor pass of
+  * [[repro.core.Miscela]]: series are at most a few thousand points, while
+  * sensors number in the thousands, so the parallelism axis is the sensor,
+  * exactly as the repro layering hint prescribes ("partitioned by
+  * location").
   */
 object LinearSegmentation {
 
-  /** Forward-fills and smooths `data` (columns: id, tIdx, value with value
-    * nullable) and returns (id, tIdx, value) with non-null doubles.
+  /** One sensor's (tIdx, value) points, in any order and with nullable
+    * values, sorted by tIdx, forward-filled and smoothed.
     */
-  def smooth(data: DataFrame, delta: Double): DataFrame = {
+  def smooth(pts: Array[(Int, Option[Double])], delta: Double): Array[(Int, Double)] = {
     require(delta >= 0, s"delta must be non-negative, got $delta")
-    val spark = data.sparkSession
-    import spark.implicits._
-
-    data
-      .select(col("id").cast("string"), col("tIdx").cast("int"), col("value").cast("double"))
-      .as[(String, Int, Option[Double])]
-      .groupByKey(_._1)
-      .flatMapGroups { (id, it) =>
-        val pts = it.map { case (_, t, v) => (t, v) }.toArray.sortBy(_._1)
-        val filled = forwardFill(pts)
-        smoothSeries(filled, delta).iterator.map { case (t, v) => (id, t, v) }
-      }
-      .toDF("id", "tIdx", "value")
+    smoothSeries(forwardFill(pts.sortBy(_._1)), delta)
   }
 
   /** Drops leading nulls, carries the last observation forward elsewhere. */
@@ -58,7 +44,7 @@ object LinearSegmentation {
   }
 
   /** Sliding-window PLA over one (sorted, null-free) series. */
-  private[segment] def smoothSeries(pts: Array[(Int, Double)], delta: Double): Array[(Int, Double)] = {
+  private[repro] def smoothSeries(pts: Array[(Int, Double)], delta: Double): Array[(Int, Double)] = {
     if (pts.length <= 2) return pts
     val out = new Array[(Int, Double)](pts.length)
     var anchor = 0

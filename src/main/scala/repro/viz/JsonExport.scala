@@ -45,11 +45,12 @@ object JsonExport {
       .flatMap { case (c, i) => c.sensors.map(_ -> i) }
       .groupBy(_._1)
       .view.mapValues(_.map(_._2).sorted).toMap
+    // At most 9,438 sensors: sorted on the driver, not by a Spark sort.
     val features = locations
       .select(col("id").cast("string"), col("attribute").cast("string"),
         col("lat").cast("double"), col("lon").cast("double"))
-      .orderBy("id")
       .collect()
+      .sortBy(_.getString(0))
       .map { r =>
         val id = r.getString(0)
         Json.obj(
@@ -72,28 +73,40 @@ object JsonExport {
   /** Time-series payload for one CAP: per sensor, the (time, value) pairs
     * (nulls preserved — the chart shows gaps).
     */
-  def seriesJson(data: DataFrame, cap: Cap): JValue = {
-    val rows = data
-      .where(col("id").isin(cap.sensors: _*))
+  def seriesJson(data: DataFrame, cap: Cap): JValue = seriesOf(cap, collectSeries(data, cap.sensors))
+
+  /** One sensor's points: (time as "yyyy-MM-dd HH:mm:ss", value or null). */
+  private type Points = Array[(String, Option[Double])]
+
+  /** The points of each of `sensors` that has any, sorted by time, from
+    * one filtered scan of `data`.
+    */
+  private def collectSeries(data: DataFrame, sensors: Seq[String]): Map[String, Points] =
+    data
+      .where(col("id").isin(sensors.distinct: _*))
       .select(col("id").cast("string"),
-        date_format(col("time"), "yyyy-MM-dd HH:mm:ss").as("t"),
+        date_format(col("time"), "yyyy-MM-dd HH:mm:ss"),
         col("data").cast("double"))
-      .orderBy("id", "t")
       .collect()
-    val bySensor = rows.groupBy(_.getString(0)).toSeq.sortBy(_._1)
-    JArr(bySensor.map { case (id, rs) =>
+      .groupBy(_.getString(0))
+      .map { case (id, rows) =>
+        id -> rows.map(r => (r.getString(1), if (r.isNullAt(2)) None else Some(r.getDouble(2)))).sortBy(_._1)
+      }
+
+  /** The series payload of `cap` from its sensors' collected points. */
+  private def seriesOf(cap: Cap, series: Map[String, Points]): JValue =
+    JArr(cap.sensors.distinct.sorted.flatMap(id => series.get(id).map(id -> _)).map { case (id, pts) =>
       Json.obj(
         "sensor" -> JStr(id),
-        "points" -> JArr(rs.toIndexedSeq.map { r =>
-          Json.arr(JStr(r.getString(1)), if (r.isNullAt(2)) JNull else JNum(r.getDouble(2)))
+        "points" -> JArr(pts.toIndexedSeq.map { case (t, v) =>
+          Json.arr(JStr(t), v.fold[JValue](JNull)(JNum(_)))
         }),
       )
     })
-  }
 
   /** Writes the three payloads of a mining run under `dir`; series is
-    * emitted for the top `maxSeries` CAPs by support. Returns the file
-    * paths written.
+    * emitted for the top `maxSeries` CAPs by support, from one scan of
+    * `data` for all their sensors. Returns the file paths written.
     */
   def writeAll(
       dir: String,
@@ -109,10 +122,12 @@ object JsonExport {
       write(base.resolve("caps.json").toString, capsJson(capSeq)),
       write(base.resolve("sensors.geojson").toString, sensorsGeoJson(locations, capSeq)),
     )
-    val tops = sortedCaps(capSeq).sortBy(-_.support).take(maxSeries).zipWithIndex.map { case (c, i) =>
-      write(base.resolve(s"series-$i.json").toString, seriesJson(data, c))
+    val tops = sortedCaps(capSeq).sortBy(-_.support).take(maxSeries)
+    val series = if (tops.isEmpty) Map.empty[String, Points] else collectSeries(data, tops.flatMap(_.sensors))
+    val seriesFiles = tops.zipWithIndex.map { case (c, i) =>
+      write(base.resolve(s"series-$i.json").toString, seriesOf(c, series))
     }
-    written ++ tops
+    written ++ seriesFiles
   }
 
   private def sortedCaps(caps: Seq[Cap]): Seq[Cap] =

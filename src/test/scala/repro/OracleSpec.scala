@@ -2,59 +2,39 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks for the provided DuckDB oracle and TPC-H-lite generators
-  * (kept healthy — the smart-city suites depend on the same oracle).
+import repro.core.TinyWorld
+
+/** Sanity checks for the DuckDB oracle the smart-city suites depend on,
+  * over a small `data.csv`-shaped frame.
   */
 class OracleSpec extends SparkSpec {
 
+  private lazy val data = TinyWorld.dataDf(spark, Map(
+    ("s1", "temperature") -> Seq(Some(20.5), None, Some(21.0), Some(22.5)),
+    ("s2", "temperature") -> Seq(Some(19.0), Some(19.5), Some(19.5), None),
+    ("s3", "trafficVolume") -> Seq(Some(120.0), Some(180.0), Some(95.0), Some(140.0)),
+    ("s4", "light") -> Seq(None, Some(300.0), Some(310.0), Some(305.0)),
+  ))
+
+  private val perAttribute =
+    "SELECT attribute, count(*) AS n, count(data) AS valued FROM records GROUP BY attribute"
+
   test("oracle accepts an equivalent aggregate") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val sparkDf = li.groupBy("l_returnflag").agg(count(lit(1)).as("n"))
-    Oracle.assertEquivalent(
-      sparkDf,
-      "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li,
-    )
+    val sparkDf = data.groupBy("attribute").agg(count(lit(1)).as("n"), count(col("data")).as("valued"))
+    Oracle.assertEquivalent(sparkDf, perAttribute, "records" -> data)
   }
 
   test("oracle rejects a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1).as("n"))
+    val wrong = data.groupBy("attribute").agg((count(lit(1)) + 1).as("n"), count(col("data")).as("valued"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(wrong, perAttribute, "records" -> data)
     }
   }
 
   test("oracle rejects mismatched column names") {
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val df = li.groupBy("l_returnflag").agg(count(lit(1)).as("wrong_name"))
+    val df = data.groupBy("attribute").agg(count(lit(1)).as("wrong_name"), count(col("data")).as("valued"))
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        df,
-        "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(df, perAttribute, "records" -> data)
     }
-  }
-
-  test("synth generators are deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, 0.001).agg(sum("o_totalprice")).collect()(0).getDouble(0)
-    val b = SynthData.orders(spark, 0.001).agg(sum("o_totalprice")).collect()(0).getDouble(0)
-    assert(a == b)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    def topShare(df: org.apache.spark.sql.DataFrame): Double = {
-      val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0).getLong(1)
-      top.toDouble / 20000
-    }
-    assert(topShare(z) > 0.1, "zipf head should dominate")
-    assert(topShare(u) < 0.01, "uniform head should not")
   }
 }

@@ -70,6 +70,24 @@ class CapCacheSpec extends SparkSpec {
     assert(cache.get(spark, "x", p).get.count() == 7)
   }
 
+  test("an interrupted put leaves no entry and no stray directory") {
+    import spark.implicits._
+    val (cache, dir) = newCache()
+    cache.put("x", p.copy(psi = 11), someCaps(2))
+    // The mining job fails part-way through the write, as a crash would.
+    val failing = someCaps(50).repartition(4).map { c =>
+      if (c.support == 40L) throw new IllegalStateException("interrupted") else c
+    }
+    intercept[Exception](cache.put("x", p, failing))
+    assert(!cache.contains("x", p) && cache.get(spark, "x", p).isEmpty)
+    // Over an existing entry, the old entry survives intact.
+    cache.put("x", p, someCaps(3))
+    intercept[Exception](cache.put("x", p, failing))
+    assert(cache.get(spark, "x", p).get.count() == 3)
+    // Only the two complete entries are left under the cache root.
+    assert(Files.list(Paths.get(dir)).count() == 2)
+  }
+
   test("an empty CAP result is cached too (a negative result is a result)") {
     val (cache, _) = newCache()
     cache.put("x", p, someCaps(0))

@@ -5,11 +5,11 @@ import scala.util.Random
 import repro.SparkSpec
 import repro.core.ReferencePipeline.{Location, Record}
 
-/** `Miscela.mine` ≡ [[ReferencePipeline]] on small generated worlds at
-  * δ = 0.
+/** `Miscela.mine` ≡ [[ReferencePipeline]] on small generated worlds.
   *
-  * Values sit on a 0.25 grid and ε never does, so no step lies on the ε
-  * boundary and both sides see the same doubles.
+  * Values sit on a 0.25 grid and ε never does, so at δ = 0 no step lies on
+  * the ε boundary and both sides see the same doubles. At δ > 0 both sides
+  * smooth the same forward-filled series with the same function.
   */
 class MiscelaDifferentialSpec extends SparkSpec {
 
@@ -17,20 +17,26 @@ class MiscelaDifferentialSpec extends SparkSpec {
 
   /** A world: sensors in a few clusters, each following one of a few shared
     * jump processes plus jumps of its own; some values null, some rows
-    * missing.
+    * missing. A `ragged` world also gives every second sensor in turn a run
+    * of leading nulls, a run of trailing nulls, or rows at only every
+    * second or third grid timestamp.
     */
-  private def world(r: Random, sites: Seq[(Double, Double)], nT: Int): (Seq[Record], Seq[Location]) = {
+  private def world(r: Random, sites: Seq[(Double, Double)], nT: Int, ragged: Boolean = false): (Seq[Record], Seq[Location]) = {
     val factors = Vector.fill(3)(Vector.fill(nT)(if (r.nextDouble() < 0.3) (r.nextInt(9) - 4) * 0.5 else 0.0))
     val sensors = sites.zipWithIndex.map { case ((lat, lon), i) =>
       Location(f"s$i%02d", Attributes(r.nextInt(Attributes.size)), lat, lon)
     }
-    val records = sensors.flatMap { s =>
+    val records = sensors.zipWithIndex.flatMap { case (s, i) =>
       val f = factors(r.nextInt(factors.size))
       var v = r.nextInt(40) * 0.25
+      val shape = if (ragged) i % 6 else 0
+      val (lead, trail) = (if (shape == 1) 1 + r.nextInt(nT / 3) else 0, if (shape == 3) 1 + r.nextInt(nT / 3) else 0)
+      val stride = if (shape == 5) 2 + r.nextInt(2) else 1
       (0 until nT).flatMap { t =>
         v += f(t) + (if (r.nextDouble() < 0.1) (r.nextInt(7) - 3) * 0.25 else 0.0)
-        if (r.nextDouble() < 0.04) None
-        else Some(Record(s.id, s.attribute, t.toLong, if (r.nextDouble() < 0.08) None else Some(v)))
+        if (t % stride != 0 || r.nextDouble() < 0.04) None
+        else Some(Record(s.id, s.attribute, t.toLong,
+          if (t < lead || t >= nT - trail || r.nextDouble() < 0.08) None else Some(v)))
       }
     }
     (records, sensors)
@@ -69,6 +75,25 @@ class MiscelaDifferentialSpec extends SparkSpec {
         allowSingleAttribute = r.nextInt(4) == 0,
       )
       assertSame(records, locations, p)
+    }
+  }
+
+  for (seed <- 1 to 6) {
+    test(s"mine ≡ reference at delta > 0 on a ragged world (seed $seed)") {
+      val r = new Random(100 + seed)
+      val centre = (43.0 + r.nextDouble() * 0.2, -4.0 + r.nextDouble() * 0.2)
+      val sites = Seq.fill(10 + r.nextInt(5))((centre._1 + r.nextDouble() * 0.01, centre._2 + r.nextDouble() * 0.01))
+      val (records, locations) = world(r, sites, 30 + r.nextInt(16), ragged = true)
+      val p = CapParams(
+        epsilon = Seq(0.0, 0.35, 0.6)(r.nextInt(3)),
+        etaKm = Seq(0.5, 2.0)(r.nextInt(2)),
+        mu = 2 + r.nextInt(2),
+        psi = 1 + r.nextInt(3),
+        delta = Seq(0.3, 0.8, 1.5)(r.nextInt(3)),
+        signPolicy = if (r.nextBoolean()) SignPolicy.SameSign else SignPolicy.AnySign,
+        maxSensors = 3,
+      )
+      assert(assertSame(records, locations, p) > 0, s"no CAPs to compare under $p")
     }
   }
 

@@ -3,19 +3,19 @@ package repro.core
 import scala.collection.mutable
 
 import repro.geo.Haversine
+import repro.segment.LinearSegmentation
 
 /** MISCELA without Spark, written from the definitions, for differential
   * tests of [[Miscela.mine]]:
   *
   *  - a dense time index over the distinct timestamps;
   *  - per sensor, leading nulls dropped and later nulls forward-filled;
+  *  - linear segmentation by the unit-tested
+  *    [[repro.segment.LinearSegmentation.smoothSeries]];
   *  - an evolving event wherever a step exceeds ε in absolute value;
   *  - sensors with fewer than ψ events dropped;
   *  - η-edges between all sensor pairs closer than η, components by BFS;
   *  - [[CapSearch.enumerate]] per component.
-  *
-  * Linear segmentation with δ = 0 returns a series unchanged, so only δ = 0
-  * is supported.
   */
 object ReferencePipeline {
 
@@ -26,7 +26,6 @@ object ReferencePipeline {
   final case class Location(id: String, attribute: String, lat: Double, lon: Double)
 
   def caps(records: Seq[Record], locations: Seq[Location], p: CapParams): Seq[Cap] = {
-    require(p.delta == 0.0, s"the reference supports delta = 0 only, got ${p.delta}")
     val times = records.map(_.time).distinct.sorted
     val tIdx = times.zipWithIndex.toMap
     val nT = times.size
@@ -38,7 +37,8 @@ object ReferencePipeline {
         last = r.value.orElse(last)
         last.foreach(v => filled += ((tIdx(r.time), v)))
       }
-      val steps = filled.zip(filled.drop(1)).collect {
+      val smoothed = LinearSegmentation.smoothSeries(filled.toArray, p.delta)
+      val steps = smoothed.zip(smoothed.drop(1)).collect {
         case ((_, a), (t, b)) if math.abs(b - a) > p.epsilon => (t, b - a)
       }
       id -> (steps.collect { case (t, d) if d > 0 => t }.toSeq, steps.collect { case (t, d) if d < 0 => t }.toSeq)

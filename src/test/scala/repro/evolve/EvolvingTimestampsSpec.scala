@@ -1,9 +1,16 @@
 package repro.evolve
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.core.{CapParams, Miscela, TinyWorld}
 
+/** Stage 2 as the per-sensor pass of [[Miscela]] runs it: series given as
+  * (id, tIdx, value) rows are written as `data.csv` records at timestamp
+  * `tIdx` of an hourly grid, and their events are read back through
+  * [[Miscela.evolvingEvents]].
+  */
 class EvolvingTimestampsSpec extends SparkSpec {
 
   private def df(rows: (String, Int, Double)*): DataFrame = {
@@ -11,8 +18,22 @@ class EvolvingTimestampsSpec extends SparkSpec {
     rows.toDF("id", "tIdx", "value")
   }
 
+  /** Events (id, tIdx, sign) of the series in `d`, from the fused pass. A
+    * constant sensor at every grid timestamp up to the last one keeps the
+    * grid dense, so tIdx on the grid equals tIdx in `d`.
+    */
+  private def viaPass(d: DataFrame, eps: Double): DataFrame = {
+    import spark.implicits._
+    val series = d.as[(String, Int, Double)].collect()
+    val filler = (0 to series.map(_._2).max).map(t => ("~grid", t, 0.0))
+    val data = (series ++ filler).toSeq
+      .map { case (id, t, v) => (id, "temperature", TinyWorld.ts(t), v) }
+      .toDF("id", "attribute", "time", "data")
+    Miscela.evolvingEvents(data, CapParams(epsilon = eps)).where(col("id") =!= "~grid")
+  }
+
   private def events(d: DataFrame, eps: Double): Set[(String, Int, Int)] =
-    EvolvingTimestamps.extract(d, eps).collect()
+    viaPass(d, eps).collect()
       .map(r => (r.getString(0), r.getInt(1), r.getInt(2))).toSet
 
   test("detects rises and falls with signs") {
@@ -53,7 +74,7 @@ class EvolvingTimestampsSpec extends SparkSpec {
 
   test("rejects negative epsilon") {
     intercept[IllegalArgumentException] {
-      EvolvingTimestamps.extract(df(("a", 0, 1.0)), -1.0)
+      EvolvingTimestamps.steps(Array((0, 1.0)), -1.0)
     }
   }
 
@@ -63,7 +84,7 @@ class EvolvingTimestampsSpec extends SparkSpec {
       ("b", 0, 10.0), ("b", 1, 10.0), ("b", 2, 14.0),
       ("c", 0, -5.0), ("c", 1, -9.0), ("c", 2, -2.0),
     )
-    val sparkDf = EvolvingTimestamps.extract(d, 1.0)
+    val sparkDf = viaPass(d, 1.0)
     Oracle.assertEquivalent(
       sparkDf,
       """WITH t AS (
@@ -79,12 +100,11 @@ class EvolvingTimestampsSpec extends SparkSpec {
   }
 
   test("oracle: per-sensor event counts match DuckDB") {
-    import org.apache.spark.sql.functions._
     val rows = (0 until 50).map { i =>
       ("s" + (i % 3), i / 3, math.sin(i / 3.0) * 10)
     }
     val d = df(rows: _*)
-    val sparkDf = EvolvingTimestamps.extract(d, 2.0)
+    val sparkDf = viaPass(d, 2.0)
       .groupBy("id").agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(
       sparkDf,

@@ -2,9 +2,9 @@ package repro.segment
 
 import scala.util.Random
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class LinearSegmentationSpec extends SparkSpec {
+class LinearSegmentationSpec extends AnyFunSuite {
 
   // ------------------------------------------------------------------
   // forwardFill
@@ -95,30 +95,25 @@ class LinearSegmentationSpec extends SparkSpec {
   }
 
   // ------------------------------------------------------------------
-  // DataFrame-level smooth
+  // smooth: one sensor's raw points, as the per-sensor pass hands them over
   // ------------------------------------------------------------------
   test("smooth handles nulls and multiple sensors") {
-    import spark.implicits._
-    val df = Seq[(String, Int, Option[Double])](
+    val rows = Seq[(String, Int, Option[Double])](
       ("a", 0, Some(1.0)), ("a", 1, None), ("a", 2, Some(4.0)),
       ("b", 0, None), ("b", 1, Some(2.0)), ("b", 2, Some(2.0)),
-    ).toDF("id", "tIdx", "value")
-    val out = LinearSegmentation.smooth(df, 0.0)
-      .collect().map(r => (r.getString(0), r.getInt(1), r.getDouble(2))).toSet
+    )
+    val out = rows.groupBy(_._1).toSeq.flatMap { case (id, rs) =>
+      LinearSegmentation.smooth(rs.map(r => (r._2, r._3)).toArray, 0.0).map { case (t, v) => (id, t, v) }
+    }.toSet
     assert(out == Set(("a", 0, 1.0), ("a", 1, 1.0), ("a", 2, 4.0), ("b", 1, 2.0), ("b", 2, 2.0)))
   }
 
   test("smooth with unsorted input sorts by tIdx per sensor") {
-    import spark.implicits._
-    val df = Seq(("a", 2, 3.0), ("a", 0, 1.0), ("a", 1, 2.0)).toDF("id", "tIdx", "value")
-    val out = LinearSegmentation.smooth(df, 0.0)
-      .collect().map(r => (r.getInt(1), r.getDouble(2))).sortBy(_._1).toSeq
-    assert(out == Seq((0, 1.0), (1, 2.0), (2, 3.0)))
+    val pts = Array[(Int, Option[Double])]((2, Some(3.0)), (0, Some(1.0)), (1, Some(2.0)))
+    assert(LinearSegmentation.smooth(pts, 0.0).toSeq == Seq((0, 1.0), (1, 2.0), (2, 3.0)))
   }
 
   test("smooth rejects negative delta") {
-    import spark.implicits._
-    val df = Seq(("a", 0, 1.0)).toDF("id", "tIdx", "value")
-    intercept[IllegalArgumentException] { LinearSegmentation.smooth(df, -0.1) }
+    intercept[IllegalArgumentException] { LinearSegmentation.smooth(Array((0, Some(1.0))), -0.1) }
   }
 }

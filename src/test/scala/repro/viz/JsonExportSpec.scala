@@ -1,6 +1,10 @@
 package repro.viz
 
+import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Paths}
+import java.time.format.DateTimeFormatter
+
+import scala.jdk.CollectionConverters._
 
 import com.fasterxml.jackson.databind.ObjectMapper
 
@@ -82,5 +86,73 @@ class JsonExportSpec extends SparkSpec {
     assert(capsTree.size() > 0, "expected CAPs in the covid slice")
     val geo = mapper.readTree(Files.readAllBytes(Paths.get(dir, "sensors.geojson")))
     assert(geo.get("features").size() == 12)
+  }
+
+  // -------------------------------------------------------------------
+  // series-*.json from writeAll against a Spark-free reference
+  // -------------------------------------------------------------------
+  private val raw: Map[(String, String), Seq[Option[Double]]] = Map(
+    ("a", "temperature") -> Seq(Some(1.0), None, Some(3.0), Some(2.5)),
+    ("b", "trafficVolume") -> Seq(None, Some(20.0), Some(30.0), None),
+    ("c", "light") -> Seq(Some(0.5), Some(0.25), None, Some(7.0)),
+    ("d", "humidity") -> Seq(Some(60.0), Some(61.0), Some(62.0), Some(63.0)),
+    ("zz", "sound") -> Seq(Some(0.0), Some(0.0), Some(0.0), Some(0.0)),
+  )
+
+  /** The series payload of each top CAP, built from `raw` without Spark:
+    * the CAPs in capsJson order, stably re-sorted by support descending,
+    * first `maxSeries`; per CAP its sensors in id order, each with its
+    * (time, value) points in time order.
+    */
+  private def referenceSeries(caps: Seq[Cap], maxSeries: Int): Seq[Seq[(String, Seq[(String, Option[Double])])]] = {
+    val fmt = DateTimeFormatter.ofPattern("yyyy-MM-dd HH:mm:ss")
+    val byId = raw.map { case ((id, _), vs) =>
+      id -> vs.zipWithIndex.map { case (v, i) => (TinyWorld.ts(i).toLocalDateTime.format(fmt), v) }
+    }
+    caps.sortBy(c => (c.attributes.mkString(","), c.sensors.mkString(","), c.support))
+      .sortBy(-_.support).take(maxSeries)
+      .map(c => c.sensors.sorted.map(id => id -> byId(id)))
+  }
+
+  private def readSeries(path: String): Seq[(String, Seq[(String, Option[Double])])] =
+    mapper.readTree(Files.readAllBytes(Paths.get(path))).elements().asScala.toSeq.map { s =>
+      s.get("sensor").asText() -> s.get("points").elements().asScala.toSeq.map { pt =>
+        (pt.get(0).asText(), if (pt.get(1).isNull) None else Some(pt.get(1).asDouble()))
+      }
+    }
+
+  private def checkSeries(caps: Seq[Cap], maxSeries: Int): Unit = {
+    import spark.implicits._
+    val data = TinyWorld.dataDf(spark, raw)
+    val locs = TinyWorld.locDf(spark, raw.keys.toSeq.map { case (id, a) => (id, a, 43.46, -3.80) })
+    val dir = Files.createTempDirectory("viz-series").toString
+    val files = JsonExport.writeAll(dir, caps.toDS(), locs, data, maxSeries)
+    val want = referenceSeries(caps, maxSeries)
+    val series = (0 until want.size).map(i => Paths.get(dir, s"series-$i.json").toString)
+    assert(files.filter(_.contains("series-")) == series)
+    series.zip(want).foreach { case (f, w) => assert(readSeries(f) == w, f) }
+    // The one-scan export renders each CAP exactly as seriesJson does.
+    val tops = caps.sortBy(c => (c.attributes.mkString(","), c.sensors.mkString(","), c.support))
+      .sortBy(-_.support).take(maxSeries)
+    series.zip(tops).foreach { case (f, c) =>
+      assert(new String(Files.readAllBytes(Paths.get(f)), StandardCharsets.UTF_8) == JsonExport.seriesJson(data, c).render)
+    }
+  }
+
+  test("writeAll series of CAPs that share sensors match the reference, nulls included") {
+    checkSeries(Seq(
+      Cap(Seq("temperature", "trafficVolume"), Seq("a", "b"), 42),
+      Cap(Seq("light", "trafficVolume"), Seq("b", "c"), 7),
+      Cap(Seq("humidity", "light", "temperature"), Seq("a", "c", "d"), 42),
+      Cap(Seq("humidity", "light"), Seq("c", "d"), 3),
+    ), maxSeries = 3)
+  }
+
+  test("writeAll with fewer CAPs than maxSeries writes one series per CAP") {
+    checkSeries(Seq(
+      Cap(Seq("light", "temperature"), Seq("a", "c"), 5),
+      Cap(Seq("humidity", "temperature"), Seq("a", "d"), 9),
+    ), maxSeries = 3)
+    checkSeries(Nil, maxSeries = 3)
   }
 }
